@@ -78,24 +78,13 @@ type Config struct {
 	// curriculum: new arms join once the model has matured enough to
 	// judge them. Zero disables the warm-up.
 	ArmWarmup int
-	// ParallelPlanning plans the arms on separate goroutines (each with
-	// its own planner over the shared read-only statistics), the "each of
-	// the n query plans can be generated and evaluated in parallel"
-	// optimization of §2. Off by default: the experiment harness models
-	// parallel planning time analytically (cloud.BaoPlanSeconds) and
-	// single-goroutine planning keeps runs deterministic profile-to-wall.
-	ParallelPlanning bool
 	// Workers bounds the goroutines used by every parallel stage of the
-	// decision loop: arm planning (when ParallelPlanning is on), TCNN
-	// inference, and model training. Zero or negative means one worker
-	// per CPU; one forces fully sequential execution. Results are
-	// bit-identical at every worker count.
+	// decision loop: arm planning (§2: "each of the n query plans can be
+	// generated and evaluated in parallel"), TCNN inference, and model
+	// training. Zero or negative means one worker per CPU; one forces
+	// fully sequential execution. Results are bit-identical at every
+	// worker count.
 	Workers int
-	// NoPlanDedup disables the per-query plan deduplication that
-	// featurizes and predicts each distinct plan once (§2: most of the 49
-	// hint sets collapse to a handful of distinct plans). Exists for
-	// benchmarks and ablation; selections are identical either way.
-	NoPlanDedup bool
 	// PlanCache enables the query-fingerprint plan cache: the per-shape
 	// work of a selection — planned arm set, dedup groups, featurized
 	// tensors, and predictions — is cached keyed by (query fingerprint,
@@ -105,8 +94,7 @@ type Config struct {
 	// (catalog version), ANALYZE (statistics epoch), and eagerly on model
 	// publication (retrain hot-swap or checkpoint restore). Cached and
 	// uncached selections are byte-identical at any worker count. Off by
-	// default (the cmd layer turns it on for serving); ignored when
-	// NoPlanDedup is set.
+	// default (the cmd layer turns it on for serving).
 	PlanCache bool
 	// PlanCacheSize bounds the cache's entry count (0 = 512). The cache is
 	// additionally bounded by PlanCacheBytes (0 = 64 MiB), the approximate
@@ -128,8 +116,8 @@ type Config struct {
 	// back — the paper's "never far worse than the underlying optimizer"
 	// guarantee enforced at serving time. Off by default.
 	Breaker guard.BreakerConfig
-	// Validate configures the validation gate RetrainAsync applies before
-	// hot-swapping a candidate model: the candidate is scored on a
+	// Validate configures the validation gate Retrain applies before
+	// publishing a candidate model: the candidate is scored on a
 	// held-out slice of the experience window and rejected (keeping the
 	// incumbent) when it regresses past the threshold or predicts
 	// non-finite values. Off by default.
@@ -207,9 +195,9 @@ type Selection struct {
 	Trees      []*nn.Tree
 	Preds      []float64 // model predictions (seconds); nil before first train
 	Candidates []int     // planner effort per arm, for the optimization-time model
-	// UniquePlans is how many distinct plans the arms produced this query
-	// (equal to len(Plans) when dedup is disabled). Featurization and
-	// inference ran once per distinct plan, not once per arm.
+	// UniquePlans is how many distinct plans the arms produced this query.
+	// Featurization and inference ran once per distinct plan, not once per
+	// arm.
 	UniquePlans int
 	UsedModel   bool
 	// WarmUp records whether the arm-warmup round-robin (not the model)
@@ -248,18 +236,19 @@ const minRetrainWindow = 16
 // Concurrency: Select, Observe, ObserveLatency, ObserveValue,
 // AddExternalExperience, Retrain, and the accessors are safe for
 // concurrent use. Select takes only a brief read lock to snapshot the
-// current model, so any number of selections run concurrently; the inline
-// Retrain path holds the write lock for the duration of the fit (library
-// users keep single-threaded semantics), while RetrainAsync fits a
-// detached model off-lock and hot-swaps it in — the serving layer's
-// trainer uses it so no selection ever blocks on training. Engine
+// current model, so any number of selections run concurrently. Retrain
+// fits a detached candidate with no lock held and publishes it under a
+// brief write lock, so no selection ever blocks on training, whether the
+// retrain runs inline on the observing goroutine (the library loop) or on
+// the serving layer's trainer. A published model is never refit. Engine
 // *execution* is not synchronized here: concurrent callers must serialize
 // Eng.Execute (the serving layer runs a single execution lane).
 type Bao struct {
 	Cfg Config
 	Eng *engine.Engine
 	// Model is the current value model. Concurrent readers must snapshot
-	// it via the mutex (Select does); it is hot-swapped by RetrainAsync.
+	// it via the mutex (Select does); Retrain and LoadModel replace it
+	// whole.
 	Model model.Model
 	Feat  Featurizer
 
@@ -283,8 +272,8 @@ type Bao struct {
 	warmupArms  []int // Cfg.Arms indices selectable during warm-up
 	rng         *rand.Rand
 	observer    *obs.Observer
-	// modelVersion counts model publications (accepted retrains, inline
-	// retrains, checkpoint restores). Cached predictions are tagged with
+	// modelVersion counts model publications (accepted retrains and
+	// checkpoint restores). Cached predictions are tagged with
 	// the version they were computed under and a mismatch forces a fresh
 	// forward pass, so a selection can never serve a superseded model's
 	// predictions out of the plan cache.
@@ -367,7 +356,7 @@ func New(eng *engine.Engine, cfg Config) *Bao {
 			})
 		})
 	}
-	if cfg.PlanCache && !cfg.NoPlanDedup {
+	if cfg.PlanCache {
 		b.pcache = newPlanCache(cfg.PlanCacheSize, cfg.PlanCacheBytes, b.observer)
 	}
 	if cfg.InferBatch > 0 {
@@ -377,14 +366,7 @@ func New(eng *engine.Engine, cfg Config) *Bao {
 			o.InferBatchSize.Observe(float64(trees))
 		}
 	}
-	if cfg.NewModel != nil {
-		b.Model = cfg.NewModel()
-	} else {
-		b.Model = model.NewTCNN(FeatureDim, cfg.Train, cfg.Seed)
-	}
-	if w, ok := b.Model.(interface{ SetWorkers(int) }); ok {
-		w.SetWorkers(cfg.Workers)
-	}
+	b.Model = b.newDetachedModel(cfg.Seed)
 	// Intra-query executor parallelism follows the same knob (zero
 	// resolves to one worker per CPU, one forces sequential). Results and
 	// counters are worker-count invariant, so the learned latency signal
@@ -457,26 +439,12 @@ func (b *Bao) CriticalKeys() []string {
 // window is never under-filled relative to the live one.
 func (b *Bao) WindowCap() int { return b.Cfg.WindowSize }
 
-// CriticalSets returns a copy of the critical-query exploration registry
-// keyed by query identity — the snapshot-side counterpart of
-// RestoreCritical. The per-key slices are shared (they are immutable
-// once stored).
-func (b *Bao) CriticalSets() map[string][]Experience {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make(map[string][]Experience, len(b.critical))
-	for k, v := range b.critical {
-		out[k] = v
-	}
-	return out
-}
-
 // SetRetrainHook routes retrain triggers to fn instead of retraining
 // inline: when the schedule (or a gross misprediction) calls for a
 // retrain, fn is invoked — typically a non-blocking channel send into a
-// background trainer that later calls RetrainAsyncFor. fn receives the
-// identity of the decision that triggered it, so the eventual async
-// retrain's trace links back to the query that scheduled it. Pass nil to
+// background trainer that later calls RetrainFor. fn receives the
+// identity of the decision that triggered it, so the eventual retrain's
+// trace links back to the query that scheduled it. Pass nil to
 // restore the inline default. fn must not block and must not call back
 // into Bao.
 func (b *Bao) SetRetrainHook(fn func(obs.Cause)) {
@@ -538,6 +506,10 @@ func (b *Bao) Select(sql string) (*Selection, error) {
 // unit of abandonable work), so an abandoned request stops planning within
 // one arm rather than finishing all of them for nobody. A cancelled
 // selection returns the context's error; nothing is recorded.
+//
+// A selection runs three stages after parsing: acquirePlans (plan cache,
+// planner, or the guard's default arm), score (the value model), and the
+// pick of the arm.
 func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 	o := b.observer
 	selStart := time.Now()
@@ -547,299 +519,315 @@ func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 	if err != nil {
 		return nil, err
 	}
-	parseDone := time.Now()
-	o.ParseSeconds.Observe(parseDone.Sub(selStart).Seconds())
-	tr.AddSpan("parse", selStart, parseDone.Sub(selStart), "")
+	stage(tr, o.ParseSeconds, "parse", selStart, "")
 	sel := &Selection{SQL: sql, Query: q, Trace: tr}
-	sel.Plans = make([]*planner.Node, len(b.Cfg.Arms))
-	sel.Candidates = make([]int, len(b.Cfg.Arms))
-	sel.Trees = make([]*nn.Tree, len(b.Cfg.Arms))
 	// Snapshot the bandit state under a brief read lock: concurrent
-	// Selects share the current model, and a RetrainAsync hot-swap
-	// arriving mid-query affects only subsequent selections.
+	// Selects share the current model, and a retrain publishing mid-query
+	// affects only subsequent selections.
 	b.mu.RLock()
 	trained := b.trained
 	mdl := b.Model
 	mver := b.modelVersion
-	warm := b.warmupActiveLocked()
+	sel.WarmUp = b.warmupActiveLocked()
 	candidates := b.selectableArmsLocked()
 	windowLen := len(b.exp)
 	b.mu.RUnlock()
-	sel.WarmUp = warm
+	var ap armPlans
+	if err := b.acquirePlans(ctx, sel, &ap); err != nil {
+		return nil, err
+	}
+	note := ap.degraded
+	useModel := trained && note == ""
+	if useModel && !b.score(sel, &ap, mdl, mver) {
+		useModel, note = false, "degenerate-predictions"
+	}
+	b.storeCacheEntry(sel, &ap, mver)
+	if useModel {
+		pickStart := time.Now()
+		sel.ArmID = pickArm(sel, candidates)
+		sel.UsedModel = true
+		stage(tr, nil, "select_arm", pickStart, "")
+	}
+	stage(tr, o.SelectSeconds, "select", selStart, "")
+	armName := b.Cfg.Arms[sel.ArmID].Name
+	o.ArmSelected.With(armName).Inc()
+	if tr != nil {
+		tr.ArmID = sel.ArmID
+		tr.ArmName = armName
+		tr.UsedModel = sel.UsedModel
+		tr.WarmUp = sel.WarmUp
+		tr.WindowSize = windowLen
+		tr.UniquePlans = sel.UniquePlans
+		tr.Breaker = note
+		tr.Cache = ap.verdict
+		if sel.Preds != nil {
+			tr.PredictedSecs = sel.Preds[sel.ArmID]
+		}
+	}
+	return sel, nil
+}
+
+// stage records one timed stage of the decision loop: the trace span and
+// the stage histogram (nil for spans without one) are fed the same
+// duration, so the metrics and the trace cannot disagree.
+func stage(tr *obs.Trace, h *obs.Histogram, name string, start time.Time, note string) {
+	d := time.Since(start)
+	h.Observe(d.Seconds())
+	tr.AddSpan(name, start, d, note)
+}
+
+// armPlans is what acquirePlans hands to scoring and to the plan-cache
+// write-back.
+type armPlans struct {
+	armGroup  []int           // arm index → dedup group
+	groupFP   []uint64        // fingerprint per group; nil unless every arm was planned
+	uniq      []*planner.Node // representative plan per group
+	uniqTrees []*nn.Tree      // featurized uniq
+	// degraded names why only the default arm was planned ("breaker-open",
+	// "planner-panic"); empty otherwise.
+	degraded string
+
+	// Plan-cache state: the lookup key, the entry that served this
+	// selection (nil on a miss), its variant when the cached tensors were
+	// reused verbatim, and the verdict the trace reports.
+	fp, schemaVer, statsEp uint64
+	canon                  string
+	hit                    *planCacheEntry
+	variant                *cacheVariant
+	verdict                string
+	// freshPreds/freshFinite record a forward pass made by this selection
+	// (as opposed to predictions served out of the cache), which the
+	// write-back publishes.
+	freshPreds  []float64
+	freshFinite int
+}
+
+// acquirePlans fills sel.Plans, sel.Candidates, sel.Trees and
+// sel.UniquePlans from one of three sources: a plan-cache hit, the planner
+// over every arm (deduplicated and featurized once per distinct plan), or
+// the default arm alone when the guard degrades the selection. It records
+// the grouping and cache state in ap.
+func (b *Bao) acquirePlans(ctx context.Context, sel *Selection, ap *armPlans) error {
+	o := b.observer
+	tr := sel.Trace
+	start := time.Now()
+	arms := len(b.Cfg.Arms)
+	sel.Plans = make([]*planner.Node, arms)
+	sel.Candidates = make([]int, arms)
+	sel.Trees = make([]*nn.Tree, arms)
 	// The breaker clocks every decision. While it is open the learned
 	// path is not trusted: plan only the default arm — cheap, and immune
 	// to a misbehaving hint-set planner — and serve it, still recording
 	// the experience so the window keeps learning through the outage.
 	if !b.breaker.Allow() {
 		o.BreakerDefault.Inc()
-		opt := &planner.Optimizer{Schema: b.Eng.Schema, Stats: b.Eng,
-			Sampling: b.Eng.Grade() == engine.GradeComSys}
-		n, cands, err := b.planArm(opt, q, 0)
+		var err error
+		sel.Plans[0], sel.Candidates[0], err = b.planArm(b.newOptimizer(), sel.Query, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sel.Plans[0], sel.Candidates[0] = n, cands
-		planDone := time.Now()
-		o.PlanSeconds.Observe(planDone.Sub(parseDone).Seconds())
-		tr.AddSpan("plan_arms", parseDone, planDone.Sub(parseDone), "breaker open: default arm only")
-		return b.finishDefault(sel, selStart, planDone, warm, windowLen, "breaker-open")
+		stage(tr, o.PlanSeconds, "plan_arms", start, "breaker open: default arm only")
+		b.defaultOnly(sel, ap, "breaker-open")
+		return nil
 	}
-	workers := 1
-	if b.Cfg.ParallelPlanning {
-		workers = b.planArmWorkers()
+	workers := b.planArmWorkers()
+	if tr != nil {
+		tr.Workers = workers
 	}
 	// Plan-cache lookup: when the cache is on, the fingerprint chain is
 	// consulted before any planner runs. The epochs are snapshotted here —
 	// a concurrent DDL/ANALYZE landing after this point at worst tags a
 	// stored entry with a superseded epoch, which the next lookup drops.
-	var (
-		cacheFP    uint64
-		cacheCanon string
-		schemaVer  uint64
-		statsEp    uint64
-		hitEntry   *planCacheEntry
-		hitVariant *cacheVariant // set when cached tensors were reused verbatim
-		verdict    string
-	)
 	if b.pcache != nil {
-		schemaVer = b.Eng.CatalogVersion()
-		statsEp = b.Eng.StatsEpoch()
-		cacheFP = queryFingerprint(q.Stmt)
-		cacheCanon = q.Stmt.String()
-		hitEntry = b.pcache.get(cacheFP, cacheCanon, schemaVer, statsEp)
+		ap.schemaVer = b.Eng.CatalogVersion()
+		ap.statsEp = b.Eng.StatsEpoch()
+		ap.fp = queryFingerprint(sel.Query.Stmt)
+		ap.canon = sel.Query.Stmt.String()
+		ap.hit = b.pcache.get(ap.fp, ap.canon, ap.schemaVer, ap.statsEp)
 	}
-	var (
-		armGroup  []int
-		groupFP   []uint64
-		uniq      []*planner.Node // representative plan per dedup group
-		uniqTrees []*nn.Tree
-	)
-	planDone := parseDone
-	if hitEntry != nil {
+	if e := ap.hit; e != nil {
 		// Hit: reuse the planned arm set and dedup groups outright; reuse
 		// the tensors too unless buffer-pool residency drifted since they
 		// were featurized (the one plan-independent feature input).
 		o.PlanCacheHits.Inc()
-		verdict = "hit"
-		sel.Plans = hitEntry.plans
-		sel.Candidates = hitEntry.cands
-		armGroup, groupFP, uniq = hitEntry.armGroup, hitEntry.groupFP, hitEntry.uniq
-		sel.UniquePlans = len(groupFP)
-		v := hitEntry.variant
-		if floatsEqual(b.Feat.residencyFromPlans(uniq), v.resSig) {
-			uniqTrees = v.trees
-			hitVariant = v
+		ap.verdict = "hit"
+		sel.Plans, sel.Candidates = e.plans, e.cands
+		ap.armGroup, ap.groupFP, ap.uniq = e.armGroup, e.groupFP, e.uniq
+		if v := e.variant; floatsEqual(b.Feat.residencyFromPlans(ap.uniq), v.resSig) {
+			ap.uniqTrees, ap.variant = v.trees, v
 		} else {
-			verdict = "hit-refeaturize"
-			uniqTrees = make([]*nn.Tree, len(uniq))
-			for g, p := range uniq {
-				uniqTrees[g] = b.Feat.Vectorize(p)
-			}
+			ap.verdict = "hit-refeaturize"
+			ap.uniqTrees = b.vectorize(ap.uniq)
 		}
-		for i, g := range armGroup {
-			sel.Trees[i] = uniqTrees[g]
-		}
-		planDone = time.Now()
-		if tr != nil {
-			tr.Workers = workers
-			tr.UniquePlans = sel.UniquePlans
-			tr.AddSpan("plancache", parseDone, planDone.Sub(parseDone), verdict)
-		}
-	} else {
-		degraded := false
-		if workers > 1 {
-			var err error
-			degraded, err = b.planArmsParallel(ctx, q, sel, workers)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			// A private optimizer (not the engine's shared one) keeps the
-			// serial path safe under concurrent Selects: the schema and
-			// statistics it reads are immutable between queries, but the
-			// optimizer itself carries per-plan scratch (LastCandidates).
-			opt := &planner.Optimizer{Schema: b.Eng.Schema, Stats: b.Eng,
-				Sampling: b.Eng.Grade() == engine.GradeComSys}
-			for i := range b.Cfg.Arms {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("core: select cancelled: %w", err)
-				}
-				n, cands, err := b.planArm(opt, q, i)
-				if err != nil {
-					if i != 0 && errors.Is(err, errPlannerPanic) {
-						degraded = true
-						continue
-					}
-					return nil, err
-				}
-				sel.Plans[i] = n
-				sel.Candidates[i] = cands
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: select cancelled: %w", err)
-		}
-		planDone = time.Now()
-		o.PlanSeconds.Observe(planDone.Sub(parseDone).Seconds())
-		if degraded {
-			// A hint-set planner panicked (and the breaker tripped), but the
-			// default arm planned fine: this query degrades to the default
-			// plan instead of failing.
-			o.BreakerDefault.Inc()
-			tr.AddSpan("plan_arms", parseDone, planDone.Sub(parseDone), "planner panic: degraded to default arm")
-			return b.finishDefault(sel, selStart, planDone, warm, windowLen, "planner-panic")
-		}
-		// Deduplicate before featurizing: hint sets routinely collapse to the
-		// same physical plan, and identical plans featurize to identical trees
-		// and predictions, so each distinct plan is vectorized and inferred
-		// exactly once and the result fanned back out per arm.
-		if b.Cfg.NoPlanDedup {
-			armGroup = make([]int, len(sel.Plans))
-			for i := range armGroup {
-				armGroup[i] = i
-			}
-			sel.UniquePlans = len(sel.Plans)
-		} else {
-			armGroup, groupFP = dedupPlans(sel.Plans)
-			sel.UniquePlans = len(groupFP)
-		}
-		o.PlansDeduped.Add(float64(len(sel.Plans) - sel.UniquePlans))
-		uniqTrees = make([]*nn.Tree, sel.UniquePlans)
-		uniq = make([]*planner.Node, sel.UniquePlans)
-		for i, g := range armGroup {
-			if uniqTrees[g] == nil {
-				uniqTrees[g] = b.Feat.Vectorize(sel.Plans[i])
-				uniq[g] = sel.Plans[i]
-			}
-			sel.Trees[i] = uniqTrees[g]
-		}
-		featDone := time.Now()
-		o.FeatSeconds.Observe(featDone.Sub(planDone).Seconds())
-		if b.pcache != nil {
-			o.PlanCacheMisses.Inc()
-			verdict = "miss"
-		}
-		if tr != nil {
-			tr.Workers = workers
-			tr.UniquePlans = sel.UniquePlans
-			tr.AddSpan("plan_arms", parseDone, planDone.Sub(parseDone),
-				fmt.Sprintf("arms=%d parallel=%v workers=%d", len(b.Cfg.Arms), b.Cfg.ParallelPlanning, workers))
-			tr.AddSpan("featurize", planDone, featDone.Sub(planDone),
-				fmt.Sprintf("unique=%d deduped=%d", sel.UniquePlans, len(sel.Plans)-sel.UniquePlans))
-		}
+		fanOutTrees(sel, ap)
+		stage(tr, nil, "plancache", start, ap.verdict)
+		return nil
 	}
-	breakerNote := ""
-	// freshPreds/freshFinite record a forward pass made by THIS call (as
-	// opposed to predictions served out of the cache), which is what the
-	// cache write-back below publishes.
-	var freshPreds []float64
-	freshFinite := -1
-	if trained {
-		inferStart := time.Now()
-		var uniqPreds []float64
-		finite := 0
-		if hitVariant != nil && hitVariant.preds != nil && hitVariant.predsVer == mver {
-			// Full hit: these exact tensors were already predicted under
-			// this model version — skip inference entirely. Versions are
-			// bumped precisely when a model is published, so an equal
-			// version implies the same model instance and the cached
-			// predictions are byte-identical to a fresh pass.
-			uniqPreds = hitVariant.preds
-			finite = hitVariant.finite
-		} else {
-			if verdict == "hit" {
-				verdict = "hit-repredict" // tensors reused, model moved on
-			}
-			uniqPreds = b.predictTrees(mdl, uniqTrees)
-			// Clamp non-finite predictions: one NaN must not poison the argmin
-			// (every comparison against NaN is false), so a degenerate arm is
-			// priced at +infinity-in-practice and loses to any finite one. If
-			// NO prediction is finite the model has nothing usable to say —
-			// trip the breaker and serve the default arm.
-			for i, p := range uniqPreds {
-				if math.IsNaN(p) || math.IsInf(p, 0) {
-					o.NonFinitePreds.Inc()
-					uniqPreds[i] = math.MaxFloat64
-				} else {
-					finite++
-				}
-			}
-			freshPreds, freshFinite = uniqPreds, finite
-		}
-		sel.Preds = make([]float64, len(armGroup))
-		for i, g := range armGroup {
-			sel.Preds[i] = uniqPreds[g]
-		}
-		inferDone := time.Now()
-		o.InferSeconds.Observe(inferDone.Sub(inferStart).Seconds())
-		tr.AddSpan("infer", inferStart, inferDone.Sub(inferStart), "")
-		if finite == 0 {
-			b.breaker.Trip("degenerate-predictions")
-			o.BreakerDefault.Inc()
-			sel.Preds = nil
-			breakerNote = "degenerate-predictions"
-			trained = false
-		}
+	degraded, err := b.planArms(ctx, sel, workers)
+	if err != nil {
+		return err
 	}
-	b.storeCacheEntry(hitEntry, hitVariant, cacheFP, cacheCanon, schemaVer, statsEp,
-		sel, armGroup, groupFP, uniq, uniqTrees, freshPreds, freshFinite, mver)
-	if trained {
-		pickStart := time.Now()
-		// Cost-sanity guard: drop arms whose plan the traditional optimizer
-		// prices two orders of magnitude above the cheapest arm. Bao
-		// second-guesses the cost model's *choices*, not its arithmetic —
-		// no mis-estimate plausibly hides a 10,000× cost ratio, so such
-		// plans are pure exploration downside.
-		minCost := sel.Plans[candidates[0]].EstCost
-		for _, i := range candidates {
-			if sel.Plans[i].EstCost < minCost {
-				minCost = sel.Plans[i].EstCost
-			}
-		}
-		sane := candidates[:0:0]
-		for _, i := range candidates {
-			if sel.Plans[i].EstCost <= minCost*100 {
-				sane = append(sane, i)
-			}
-		}
-		if len(sane) > 0 {
-			candidates = sane
-		}
-		// Exact ties are the common case once dedup runs: every arm in a
-		// dedup group carries the same prediction. Break them with the
-		// traditional optimizer's cost estimate — the "leverage the wisdom
-		// built into existing optimizers" principle: the model decides when
-		// it has signal, the cost model when it has none. The band is exact
-		// equality on purpose: any wider and the cost model would override
-		// the learned signal on the trap queries Bao exists to fix. Both
-		// comparisons are strict, so on a full (pred, cost) tie the lowest
-		// arm index wins and the choice is stable run to run.
-		best := candidates[0]
-		for _, i := range candidates[1:] {
-			if sel.Preds[i] < sel.Preds[best] ||
-				(sel.Preds[i] == sel.Preds[best] && sel.Plans[i].EstCost < sel.Plans[best].EstCost) {
-				best = i
-			}
-		}
-		sel.ArmID = best
-		sel.UsedModel = true
-		tr.AddSpan("select_arm", pickStart, time.Since(pickStart), "")
+	if degraded {
+		// A hint-set planner panicked (and the breaker tripped), but the
+		// default arm planned fine: this query degrades to the default
+		// plan instead of failing.
+		o.BreakerDefault.Inc()
+		stage(tr, o.PlanSeconds, "plan_arms", start, "planner panic: degraded to default arm")
+		b.defaultOnly(sel, ap, "planner-panic")
+		return nil
 	}
-	o.SelectSeconds.Observe(time.Since(selStart).Seconds())
-	o.ArmSelected.With(b.Cfg.Arms[sel.ArmID].Name).Inc()
+	note := ""
 	if tr != nil {
-		tr.ArmID = sel.ArmID
-		tr.ArmName = b.Cfg.Arms[sel.ArmID].Name
-		tr.UsedModel = sel.UsedModel
-		tr.WarmUp = warm
-		tr.WindowSize = windowLen
-		tr.Breaker = breakerNote
-		tr.Cache = verdict
-		if sel.Preds != nil {
-			tr.PredictedSecs = sel.Preds[sel.ArmID]
+		note = fmt.Sprintf("arms=%d workers=%d", arms, workers)
+	}
+	stage(tr, o.PlanSeconds, "plan_arms", start, note)
+	// Deduplicate before featurizing: hint sets routinely collapse to the
+	// same physical plan, and identical plans featurize to identical trees
+	// and predictions, so each distinct plan is vectorized and inferred
+	// exactly once and the result fanned back out per arm.
+	featStart := time.Now()
+	ap.armGroup, ap.groupFP = dedupPlans(sel.Plans)
+	ap.uniq = make([]*planner.Node, len(ap.groupFP))
+	for i, g := range ap.armGroup {
+		if ap.uniq[g] == nil {
+			ap.uniq[g] = sel.Plans[i]
 		}
 	}
-	return sel, nil
+	ap.uniqTrees = b.vectorize(ap.uniq)
+	fanOutTrees(sel, ap)
+	o.PlansDeduped.Add(float64(arms - sel.UniquePlans))
+	if tr != nil {
+		note = fmt.Sprintf("unique=%d deduped=%d", sel.UniquePlans, arms-sel.UniquePlans)
+	}
+	stage(tr, o.FeatSeconds, "featurize", featStart, note)
+	if b.pcache != nil {
+		o.PlanCacheMisses.Inc()
+		ap.verdict = "miss"
+	}
+	return nil
+}
+
+// defaultOnly degrades a selection to the default arm, the only one
+// planned: that plan alone is featurized, scoring is skipped, and the pick
+// serves arm 0 without the model. The observation path records the
+// experience exactly as it would a cold-start default selection, so the
+// window keeps learning while the learned path sits out.
+func (b *Bao) defaultOnly(sel *Selection, ap *armPlans, reason string) {
+	start := time.Now()
+	ap.degraded = reason
+	sel.UniquePlans = 1
+	sel.Trees[0] = b.Feat.Vectorize(sel.Plans[0])
+	stage(sel.Trace, b.observer.FeatSeconds, "featurize", start, "default arm only")
+}
+
+// vectorize featurizes each plan.
+func (b *Bao) vectorize(plans []*planner.Node) []*nn.Tree {
+	trees := make([]*nn.Tree, len(plans))
+	for i, p := range plans {
+		trees[i] = b.Feat.Vectorize(p)
+	}
+	return trees
+}
+
+// fanOutTrees gives every arm its dedup group's tree.
+func fanOutTrees(sel *Selection, ap *armPlans) {
+	sel.UniquePlans = len(ap.groupFP)
+	for i, g := range ap.armGroup {
+		sel.Trees[i] = ap.uniqTrees[g]
+	}
+}
+
+// score predicts every distinct plan under mdl — or reuses the
+// predictions the plan cache holds for these exact tensors under this
+// model version — and fans them out per arm into sel.Preds. It reports
+// false, with sel.Preds nil, when no prediction is finite: the model has
+// nothing usable to say, so the breaker trips and the default arm is
+// served.
+func (b *Bao) score(sel *Selection, ap *armPlans, mdl model.Model, mver uint64) bool {
+	o := b.observer
+	start := time.Now()
+	var preds []float64
+	finite := 0
+	if v := ap.variant; v != nil && v.preds != nil && v.predsVer == mver {
+		// Full hit: these exact tensors were already predicted under this
+		// model version — skip inference entirely. Versions are bumped
+		// precisely when a model is published, so an equal version implies
+		// the same model instance and the cached predictions are
+		// byte-identical to a fresh pass.
+		preds, finite = v.preds, v.finite
+	} else {
+		if ap.verdict == "hit" {
+			ap.verdict = "hit-repredict" // tensors reused, model moved on
+		}
+		preds = b.predictTrees(mdl, ap.uniqTrees)
+		// Clamp non-finite predictions: one NaN must not poison the argmin
+		// (every comparison against NaN is false), so a degenerate plan is
+		// priced at +infinity-in-practice and loses to any finite one.
+		for i, p := range preds {
+			if isFinite(p) {
+				finite++
+			} else {
+				o.NonFinitePreds.Inc()
+				preds[i] = math.MaxFloat64
+			}
+		}
+		ap.freshPreds, ap.freshFinite = preds, finite
+	}
+	sel.Preds = make([]float64, len(ap.armGroup))
+	for i, g := range ap.armGroup {
+		sel.Preds[i] = preds[g]
+	}
+	stage(sel.Trace, o.InferSeconds, "infer", start, "")
+	if finite == 0 {
+		b.breaker.Trip("degenerate-predictions")
+		o.BreakerDefault.Inc()
+		sel.Preds = nil
+		return false
+	}
+	return true
+}
+
+// pickArm returns the selectable arm with the lowest prediction.
+//
+// Cost-sanity guard: arms whose plan the traditional optimizer prices two
+// orders of magnitude above the cheapest arm are dropped first. Bao
+// second-guesses the cost model's *choices*, not its arithmetic — no
+// mis-estimate plausibly hides a 10,000× cost ratio, so such plans are
+// pure exploration downside.
+//
+// Exact ties are the common case once dedup runs: every arm in a dedup
+// group carries the same prediction. They are broken with the traditional
+// optimizer's cost estimate — the "leverage the wisdom built into existing
+// optimizers" principle: the model decides when it has signal, the cost
+// model when it has none. The band is exact equality on purpose: any
+// wider and the cost model would override the learned signal on the trap
+// queries Bao exists to fix. Both comparisons are strict, so on a full
+// (pred, cost) tie the lowest arm index wins and the choice is stable run
+// to run.
+func pickArm(sel *Selection, candidates []int) int {
+	minCost := sel.Plans[candidates[0]].EstCost
+	for _, i := range candidates {
+		if sel.Plans[i].EstCost < minCost {
+			minCost = sel.Plans[i].EstCost
+		}
+	}
+	sane := candidates[:0:0]
+	for _, i := range candidates {
+		if sel.Plans[i].EstCost <= minCost*100 {
+			sane = append(sane, i)
+		}
+	}
+	if len(sane) > 0 {
+		candidates = sane
+	}
+	best := candidates[0]
+	for _, i := range candidates[1:] {
+		if sel.Preds[i] < sel.Preds[best] ||
+			(sel.Preds[i] == sel.Preds[best] && sel.Plans[i].EstCost < sel.Plans[best].EstCost) {
+			best = i
+		}
+	}
+	return best
 }
 
 // predictTrees runs a forward pass over trees, coalescing with concurrent
@@ -862,81 +850,57 @@ func (b *Bao) predictTrees(mdl model.Model, trees []*nn.Tree) []float64 {
 // (freshFinite == 0) are never cached — the entry keeps its plans but no
 // predictions, so the next repeat re-predicts. No-op when the cache is
 // off or the arm set wasn't fully planned (groupFP nil).
-func (b *Bao) storeCacheEntry(hitEntry *planCacheEntry, hitVariant *cacheVariant,
-	fp uint64, canon string, schemaVer, statsEp uint64,
-	sel *Selection, armGroup []int, groupFP []uint64, uniq []*planner.Node,
-	uniqTrees []*nn.Tree, freshPreds []float64, freshFinite int, mver uint64) {
-	if b.pcache == nil || groupFP == nil {
+func (b *Bao) storeCacheEntry(sel *Selection, ap *armPlans, mver uint64) {
+	if b.pcache == nil || ap.groupFP == nil {
 		return
 	}
-	if hitEntry != nil && hitVariant != nil && freshPreds == nil {
+	if ap.variant != nil && ap.freshPreds == nil {
 		return // full hit: nothing newer than what is already cached
 	}
 	v := &cacheVariant{predsVer: mver}
-	if hitVariant != nil {
+	if ap.variant != nil {
 		// Tensors were reused; only the predictions are new.
-		v.resSig, v.trees = hitVariant.resSig, hitVariant.trees
+		v.resSig, v.trees = ap.variant.resSig, ap.variant.trees
 	} else {
-		v.trees = uniqTrees
+		v.trees = ap.uniqTrees
 		if b.Feat.CacheFrac != nil {
-			v.resSig = residencyFromTrees(uniqTrees)
+			v.resSig = residencyFromTrees(ap.uniqTrees)
 		}
 	}
-	if freshFinite > 0 {
-		v.preds, v.finite = freshPreds, freshFinite
+	if ap.freshFinite > 0 {
+		v.preds, v.finite = ap.freshPreds, ap.freshFinite
 	}
-	if hitEntry != nil {
-		b.pcache.replaceVariant(hitEntry, v)
+	if ap.hit != nil {
+		b.pcache.replaceVariant(ap.hit, v)
 		return
 	}
 	b.pcache.put(&planCacheEntry{
-		fp:         fp,
-		canon:      canon,
-		schemaVer:  schemaVer,
-		statsEpoch: statsEp,
+		fp:         ap.fp,
+		canon:      ap.canon,
+		schemaVer:  ap.schemaVer,
+		statsEpoch: ap.statsEp,
 		plans:      sel.Plans,
 		cands:      sel.Candidates,
-		armGroup:   armGroup,
-		groupFP:    groupFP,
-		uniq:       uniq,
+		armGroup:   ap.armGroup,
+		groupFP:    ap.groupFP,
+		uniq:       ap.uniq,
 		variant:    v,
 	})
-}
-
-// finishDefault completes a selection the guard degraded to the default
-// arm (breaker open, or a planner panic on a non-default arm): featurize
-// the default plan, stamp the trace with the reason, and return with
-// UsedModel false — the observation path records the experience exactly
-// as it would a cold-start default selection, so the window keeps
-// learning while the learned path sits out.
-func (b *Bao) finishDefault(sel *Selection, selStart, planDone time.Time, warm bool, windowLen int, reason string) (*Selection, error) {
-	o := b.observer
-	sel.ArmID = 0
-	sel.UsedModel = false
-	sel.Preds = nil
-	sel.UniquePlans = 1
-	sel.Trees[0] = b.Feat.Vectorize(sel.Plans[0])
-	featDone := time.Now()
-	o.FeatSeconds.Observe(featDone.Sub(planDone).Seconds())
-	o.SelectSeconds.Observe(time.Since(selStart).Seconds())
-	o.ArmSelected.With(b.Cfg.Arms[0].Name).Inc()
-	if tr := sel.Trace; tr != nil {
-		tr.AddSpan("featurize", planDone, featDone.Sub(planDone), "default arm only")
-		tr.ArmID = 0
-		tr.ArmName = b.Cfg.Arms[0].Name
-		tr.UsedModel = false
-		tr.WarmUp = warm
-		tr.WindowSize = windowLen
-		tr.UniquePlans = 1
-		tr.Breaker = reason
-	}
-	return sel, nil
 }
 
 // errPlannerPanic marks a planning error that was a recovered panic: on
 // a non-default arm the selection degrades to the default plan instead of
 // failing (the panicking arm's plan is simply absent this query).
 var errPlannerPanic = errors.New("planner panicked")
+
+// newOptimizer returns a private optimizer over the engine's schema and
+// statistics. The schema and statistics are immutable between queries,
+// but an optimizer carries per-plan scratch (LastCandidates), so each
+// planning goroutine owns one instead of sharing the engine's.
+func (b *Bao) newOptimizer() *planner.Optimizer {
+	return &planner.Optimizer{Schema: b.Eng.Schema, Stats: b.Eng,
+		Sampling: b.Eng.Grade() == engine.GradeComSys}
+}
 
 // planArm plans one arm, converting a planner panic — real, or injected
 // via Cfg.Fault.PlanPanicArm — into a breaker trip plus an error wrapping
@@ -972,39 +936,29 @@ func (b *Bao) planArmWorkers() int {
 	return w
 }
 
-// planArmsParallel plans the arms across a bounded pool of workers rather
-// than one goroutine per arm: arms are claimed from an atomic cursor, and
-// the calling goroutine serves as one of the workers so workers=2 spawns a
-// single extra goroutine. Each arm gets its own Optimizer (the schema and
-// statistics it reads are immutable between queries); all writes land at
-// disjoint indices, so no synchronization beyond the WaitGroup is needed.
-// Workers check the context before claiming each arm, so a cancelled
-// request drains the pool within one arm's worth of planning per worker.
-// A recovered planner panic on a non-default arm reports degraded=true
-// (the caller serves the default plan); any other error — or a panic on
-// the default arm itself, which leaves nothing to degrade to — fails the
-// selection.
-func (b *Bao) planArmsParallel(ctx context.Context, q *planner.Query, sel *Selection, workers int) (degraded bool, err error) {
+// planArms plans every arm across a bounded pool of workers rather than
+// one goroutine per arm: arms are claimed from an atomic cursor, and the
+// calling goroutine serves as one of the workers, so one worker plans
+// every arm in order on the caller's goroutine and workers=2 spawns a
+// single extra goroutine. Each worker owns one Optimizer; all writes land
+// at disjoint indices, so no synchronization beyond the WaitGroup is
+// needed. Workers check the context before claiming each arm, so a
+// cancelled request drains the pool within one arm's worth of planning
+// per worker. A recovered planner panic on a non-default arm reports
+// degraded=true (the caller serves the default plan); any other error — or
+// a panic on the default arm itself, which leaves nothing to degrade to —
+// fails the selection.
+func (b *Bao) planArms(ctx context.Context, sel *Selection, workers int) (degraded bool, err error) {
 	errs := make([]error, len(b.Cfg.Arms))
 	var next atomic.Int64
 	work := func() {
-		for {
-			if ctx.Err() != nil {
-				return
-			}
+		opt := b.newOptimizer()
+		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= len(b.Cfg.Arms) {
 				return
 			}
-			opt := &planner.Optimizer{Schema: b.Eng.Schema, Stats: b.Eng,
-				Sampling: b.Eng.Grade() == engine.GradeComSys}
-			n, cands, perr := b.planArm(opt, q, i)
-			if perr != nil {
-				errs[i] = perr
-				continue
-			}
-			sel.Plans[i] = n
-			sel.Candidates[i] = cands
+			sel.Plans[i], sel.Candidates[i], errs[i] = b.planArm(opt, sel.Query, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -1344,8 +1298,9 @@ func (b *Bao) AddExternalExperience(plan *planner.Node, c executor.Counters) {
 // window, maintain the window gauge, detect gross misprediction against
 // pred (zero disables the check), and retrain on schedule — or early,
 // when allowEarly and the model was grossly wrong. The retrain runs
-// inline unless a retrain hook is registered, in which case the hook is
-// signaled and training happens elsewhere (the serving layer's trainer).
+// inline (RetrainFor, waited on) unless a retrain hook is registered, in
+// which case the hook is signaled and training happens elsewhere (the
+// serving layer's trainer).
 func (b *Bao) record(e Experience, pred float64, allowEarly, fromQuery bool, tr *obs.Trace) {
 	o := b.observer
 	mispred := pred > 0 && e.Secs > grossMispredRatio*pred && e.Secs > grossMispredFloorSecs
@@ -1382,23 +1337,8 @@ func (b *Bao) record(e Experience, pred float64, allowEarly, fromQuery bool, tr 
 		return
 	}
 	retrainStart := time.Now()
-	if b.guardedRetrains() {
-		// With the guard configured, inline retrains route through
-		// RetrainAsyncFor so the validation gate, fault hooks, and panic
-		// recovery apply on every path — Retrain's in-place fit would
-		// mutate the live model before any verdict could reject it. The
-		// async trace it publishes links back to this decision.
-		b.RetrainAsyncFor(cause)
-	} else {
-		b.Retrain()
-	}
-	tr.AddSpan("retrain", retrainStart, time.Since(retrainStart), "")
-}
-
-// guardedRetrains reports whether retrains must run through the guarded
-// detached path (validation gate, breaker signals, fault injection).
-func (b *Bao) guardedRetrains() bool {
-	return b.Cfg.Validate.Enabled || b.Cfg.Breaker.Enabled || b.Cfg.Fault != nil
+	b.RetrainFor(cause)
+	stage(tr, nil, "retrain", retrainStart, "")
 }
 
 func (b *Bao) addExperienceLocked(e Experience) {
@@ -1535,62 +1475,34 @@ func (b *Bao) finishRetrainLocked(m model.Model, samples, epochs int, wall float
 	}
 }
 
-// Retrain performs one Thompson sampling draw: fit a fresh model on a
-// bootstrap of the experience window, always including the flagged
-// critical experiences, then fine-tune until every critical query's
-// fastest arm is ranked first (§4 "triggered exploration"). The inline
-// path fits the live model while holding the write lock, so concurrent
-// Selects wait out the fit — callers that must keep selecting during
-// training use RetrainAsync instead.
-func (b *Bao) Retrain() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	trees, secs, valTrees, valSecs, crit := b.trainingSampleLocked()
-	// The inline path has no hot-swap to gate, so the holdout (if the
-	// validation config carved one out) folds back into the training set
-	// rather than going unused.
-	trees = append(trees, valTrees...)
-	secs = append(secs, valSecs...)
-	if len(trees) == 0 {
-		return
-	}
-	start := time.Now()
-	epochs := b.Model.Fit(trees, secs)
-	epochs += enforceCriticalOn(b.Model, trees, secs, crit)
-	wall := time.Since(start).Seconds()
-	b.finishRetrainLocked(b.Model, len(trees), epochs, wall)
-	// The inline path fits the live model in place — there is no swap to
-	// gate — but journal consumers (baoshell \events, the JSONL sink)
-	// still need to see that a retrain landed, so it reports as an
-	// unconditionally accepted fit.
-	b.observer.Emit(obs.Event{Kind: obs.EventSwapAccepted,
-		Detail: fmt.Sprintf("samples=%d epochs=%d (inline)", len(trees), epochs),
-		Secs:   wall})
-}
+// Retrain is RetrainFor with no triggering decision (a manual retrain).
+// Like every retrain it returns once the candidate is published or
+// rejected: false when nothing was trained or the candidate was rejected.
+func (b *Bao) Retrain() bool { return b.RetrainFor(obs.Cause{}) }
 
-// RetrainAsync performs one Thompson sampling draw on a detached model
-// and hot-swaps it in: the training sample is drawn under a brief lock,
-// the fit runs with no lock held (concurrent Selects keep predicting with
-// the previous model), and the fitted model replaces Bao's under another
-// brief lock. This is the paper's Bao-server training loop: steering
-// stays on the hot path while learning stays off it.
+// RetrainFor performs one Thompson sampling draw: it fits a fresh model
+// on a bootstrap of the experience window, always including the flagged
+// critical experiences, then fine-tunes until every critical query's
+// fastest arm is ranked first (§4 "triggered exploration"). The training
+// sample is drawn under a brief lock, the fit runs on a detached
+// candidate with no lock held (concurrent Selects keep predicting with the
+// incumbent), and the candidate replaces Bao's model under another brief
+// lock. Steering stays on the hot path while learning stays off it.
 //
-// The guard wraps the swap: a panic inside the fit is recovered into a
-// breaker model-failure signal (the incumbent keeps serving), and when
-// the validation gate is enabled the candidate must pass it — non-finite
-// predictions or a validation-error regression past the threshold reject
-// the candidate, count bao_retrain_rejected_total, and keep the
-// incumbent. Returns false when nothing was trained or the candidate was
-// rejected.
-func (b *Bao) RetrainAsync() bool { return b.RetrainAsyncFor(obs.Cause{}) }
-
-// RetrainAsyncFor is RetrainAsync carrying the identity of the decision
-// that triggered it: the published "retrain" trace (sample → fit →
-// validate → swap spans) and the swap-accepted/rejected events all link
-// back to cause, so a hot-swap under load is resolvable from the query
-// whose observation scheduled it. A zero Cause (manual retrain, tests)
-// produces an unlinked trace.
-func (b *Bao) RetrainAsyncFor(cause obs.Cause) bool {
+// The guard wraps the publication: a panic inside the fit is recovered
+// into a breaker model-failure signal (the incumbent keeps serving), and
+// when the validation gate is enabled the candidate must pass it —
+// non-finite predictions or a validation-error regression past the
+// threshold reject the candidate, count bao_retrain_rejected_total, and
+// keep the incumbent. It returns false when nothing was trained or the
+// candidate was rejected.
+//
+// cause identifies the decision that triggered the retrain: the published
+// "retrain" trace (sample → fit → validate → swap spans) and the
+// swap-accepted/rejected events all link back to it, so a hot-swap under
+// load is resolvable from the query whose observation scheduled it. A
+// zero Cause (manual retrain, tests) produces an unlinked trace.
+func (b *Bao) RetrainFor(cause obs.Cause) bool {
 	o := b.observer
 	tr := o.StartLinkedTrace("retrain", cause)
 	sampleStart := time.Now()
@@ -1604,9 +1516,8 @@ func (b *Bao) RetrainAsyncFor(cause obs.Cause) bool {
 	}
 	b.fitAttempts++
 	attempt := b.fitAttempts
-	// Offset the detached model's seed by the retrain ordinal so every
-	// draw starts from a fresh initialization, as the in-place Fit's
-	// internal seed bump would have provided.
+	// Seed the candidate by the retrain ordinal so every draw starts from
+	// a fresh initialization.
 	seed := b.Cfg.Seed + int64(b.trainCount+1)*997
 	b.mu.Unlock()
 	tr.AddSpan("sample", sampleStart, time.Since(sampleStart),
@@ -1705,7 +1616,7 @@ func (b *Bao) validateCandidate(cand model.Model, valTrees []*nn.Tree, valSecs [
 }
 
 // newDetachedModel builds a value model identical in kind to the one New
-// installed, for RetrainAsync to fit off-lock.
+// installed, for RetrainFor to fit off-lock and LoadModel to load into.
 func (b *Bao) newDetachedModel(seed int64) model.Model {
 	var m model.Model
 	if b.Cfg.NewModel != nil {
@@ -1799,10 +1710,9 @@ func mispredictedCriticalOn(m model.Model, crit map[string][]Experience) []strin
 
 // SaveModel persists the trained value model so a deployment can restart
 // without relearning (pair with LoadModel). Only the model is saved; the
-// experience window is rebuilt from live traffic. The read lock is held
-// for the duration of the write, which excludes an inline Retrain from
-// mutating the model mid-save (an async retrain fits a detached model and
-// only its brief swap waits on us).
+// experience window is rebuilt from live traffic. A published model is
+// never refit, so the read lock only pins which model is saved; a retrain
+// publishing meanwhile waits out the write.
 func (b *Bao) SaveModel(w io.Writer) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -1837,7 +1747,7 @@ func (b *Bao) LoadModel(r io.Reader) error {
 }
 
 // publishModelLocked records that a new set of model weights became
-// visible to selections (accepted or inline retrain, checkpoint restore):
+// visible to selections (accepted retrain, checkpoint restore):
 // the model version advances, which retires every cached prediction, and
 // the plan cache is flushed eagerly so a generation bump invalidates
 // rather than merely bypasses. Callers hold b.mu.

@@ -9,6 +9,7 @@ import (
 
 	"bao/internal/cloud"
 	"bao/internal/engine"
+	"bao/internal/guard"
 	"bao/internal/planner"
 	"bao/internal/workload"
 )
@@ -358,31 +359,46 @@ func TestSaveModelWrongTypeFails(t *testing.T) {
 	}
 }
 
-func TestParallelPlanningMatchesSerial(t *testing.T) {
+// Arms are planned through a pool sized by Workers; at one worker it runs
+// on the caller's goroutine. Every arm's plan and planner effort must be
+// the same at one and four workers, and so must a planner-panic degrade to
+// the default arm.
+func TestPlanningPoolWorkersMatch(t *testing.T) {
 	e := buildIMDbEngine(t)
 	sql := "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id AND t.kind_id = 3 AND t.votes > 1000"
-	serial := New(e, FastConfig())
-	s1, err := serial.Select(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := FastConfig()
-	cfg.ParallelPlanning = true
-	cfg.Workers = 4 // force the pool even on a single-CPU machine
-	par := New(e, cfg)
-	s2, err := par.Select(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s1.Plans) != len(s2.Plans) {
-		t.Fatal("plan counts differ")
-	}
-	for i := range s1.Plans {
-		if s1.Plans[i].Explain() != s2.Plans[i].Explain() {
-			t.Fatalf("arm %d: parallel plan differs from serial", i)
+	for _, fault := range []*guard.Fault{nil, {PlanPanicArm: 1}} {
+		var sels []*Selection
+		for _, workers := range []int{1, 4} {
+			cfg := FastConfig()
+			if fault != nil {
+				cfg = guardTestConfig(workers, fault)
+			}
+			cfg.Workers = workers // 4 forces the pool even on a single-CPU machine
+			sel, err := New(e, cfg).Select(sql)
+			if err != nil {
+				t.Fatalf("workers=%d fault=%v: %v", workers, fault != nil, err)
+			}
+			sels = append(sels, sel)
 		}
-		if s1.Candidates[i] != s2.Candidates[i] {
-			t.Fatalf("arm %d: candidate counts differ (%d vs %d)", i, s1.Candidates[i], s2.Candidates[i])
+		s1, s4 := sels[0], sels[1]
+		if len(s1.Plans) != len(s4.Plans) {
+			t.Fatal("plan counts differ")
+		}
+		if s1.ArmID != s4.ArmID || s1.UsedModel != s4.UsedModel || s1.UniquePlans != s4.UniquePlans {
+			t.Fatalf("fault=%v: selection differs: arm %d/%d usedModel %v/%v unique %d/%d", fault != nil,
+				s1.ArmID, s4.ArmID, s1.UsedModel, s4.UsedModel, s1.UniquePlans, s4.UniquePlans)
+		}
+		for i := range s1.Plans {
+			if (s1.Plans[i] == nil) != (s4.Plans[i] == nil) ||
+				s1.Plans[i] != nil && s1.Plans[i].Explain() != s4.Plans[i].Explain() {
+				t.Fatalf("fault=%v arm %d: plan at 4 workers differs from 1", fault != nil, i)
+			}
+			if s1.Candidates[i] != s4.Candidates[i] {
+				t.Fatalf("fault=%v arm %d: candidate counts differ (%d vs %d)", fault != nil, i, s1.Candidates[i], s4.Candidates[i])
+			}
+		}
+		if fault != nil && (s1.ArmID != 0 || s1.UsedModel || s1.Plans[1] != nil) {
+			t.Fatalf("planner panic: arm=%d usedModel=%v, want the degraded default", s1.ArmID, s1.UsedModel)
 		}
 	}
 }

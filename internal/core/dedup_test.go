@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"bao/internal/nn"
 	"bao/internal/obs"
 	"bao/internal/planner"
 	"bao/internal/workload"
@@ -85,8 +86,9 @@ func TestDedupPlansGroups(t *testing.T) {
 	}
 }
 
-// Dedup must be invisible in the selection outcome: same arm, same per-arm
-// predictions as a dedup-disabled Bao, while featurizing and predicting
+// Dedup must be invisible in the selection outcome: every arm's
+// prediction, and so the selected arm, equals featurizing and predicting
+// that arm's plan on its own, while the selection featurizes and predicts
 // strictly fewer trees (counted by bao_plans_deduped_total).
 func TestSelectDedupMatchesNoDedup(t *testing.T) {
 	sql := "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id AND t.kind_id = 3 AND t.votes > 1000"
@@ -95,33 +97,25 @@ func TestSelectDedupMatchesNoDedup(t *testing.T) {
 	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 	b := trainedBao(t, cfg)
 
-	plain := FastConfig()
-	plain.NoPlanDedup = true
-	p := trainedBao(t, plain)
-
 	sel, err := b.Select(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := p.Select(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.UniquePlans >= len(sel.Plans) {
 		t.Fatalf("no dedup happened: %d unique of %d arms", sel.UniquePlans, len(sel.Plans))
 	}
-	if ref.UniquePlans != len(ref.Plans) {
-		t.Fatalf("NoPlanDedup run deduped: %d unique of %d arms", ref.UniquePlans, len(ref.Plans))
+	// The reference skips dedup: one Vectorize and one Predict per arm.
+	ref := &Selection{Plans: sel.Plans, Preds: make([]float64, len(sel.Plans))}
+	for i, p := range sel.Plans {
+		ref.Preds[i] = b.Model.Predict([]*nn.Tree{b.Feat.Vectorize(p)})[0]
 	}
-	if sel.ArmID != ref.ArmID {
-		t.Fatalf("dedup changed the selected arm: %d vs %d", sel.ArmID, ref.ArmID)
-	}
-	// Both models trained on the same stream with the same seed, so the
-	// per-arm predictions must agree arm-for-arm.
 	for i := range sel.Preds {
 		if sel.Preds[i] != ref.Preds[i] {
 			t.Fatalf("arm %d: dedup pred %g != reference %g", i, sel.Preds[i], ref.Preds[i])
 		}
+	}
+	if want := pickArm(ref, b.selectableArms()); sel.ArmID != want {
+		t.Fatalf("dedup changed the selected arm: %d vs %d", sel.ArmID, want)
 	}
 	if v := cfg.Observer.Snapshot().Counter("bao_plans_deduped_total"); v <= 0 {
 		t.Fatalf("bao_plans_deduped_total = %v, want > 0", v)

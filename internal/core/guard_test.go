@@ -182,29 +182,28 @@ func TestBreakerOpenServesDefaultAndRecords(t *testing.T) {
 
 // TestPlannerPanicDegradesToDefault: a panicking non-default arm planner
 // must not fail the query — it degrades to the default plan and trips the
-// breaker, in both serial and parallel planning modes.
+// breaker, whether one worker or a pool of four plans the arms.
 func TestPlannerPanicDegradesToDefault(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
+	for _, workers := range []int{1, 4} {
 		e := buildIMDbEngine(t)
-		cfg := guardTestConfig(4, &guard.Fault{PlanPanicArm: 1})
-		cfg.ParallelPlanning = parallel
+		cfg := guardTestConfig(workers, &guard.Fault{PlanPanicArm: 1})
 		b := New(e, cfg)
 
 		sel, err := b.Select(obsTestSQL)
 		if err != nil {
-			t.Fatalf("parallel=%v: planner panic failed the query: %v", parallel, err)
+			t.Fatalf("workers=%d: planner panic failed the query: %v", workers, err)
 		}
 		if sel.ArmID != 0 || sel.UsedModel {
-			t.Fatalf("parallel=%v: arm=%d usedModel=%v, want degraded default", parallel, sel.ArmID, sel.UsedModel)
+			t.Fatalf("workers=%d: arm=%d usedModel=%v, want degraded default", workers, sel.ArmID, sel.UsedModel)
 		}
 		if b.Breaker().State() != guard.Open {
-			t.Fatalf("parallel=%v: breaker = %v after planner panic, want Open", parallel, b.Breaker().State())
+			t.Fatalf("workers=%d: breaker = %v after planner panic, want Open", workers, b.Breaker().State())
 		}
 		if got := b.Stats().Counter("bao_planner_panics_total"); got != 1 {
-			t.Fatalf("parallel=%v: bao_planner_panics_total = %v, want 1", parallel, got)
+			t.Fatalf("workers=%d: bao_planner_panics_total = %v, want 1", workers, got)
 		}
 		if got := b.Breaker().Trips(); got != 1 {
-			t.Fatalf("parallel=%v: trips = %d, want 1 (concurrent workers must coalesce)", parallel, got)
+			t.Fatalf("workers=%d: trips = %d, want 1 (concurrent workers must coalesce)", workers, got)
 		}
 	}
 }
@@ -281,7 +280,7 @@ func TestDegeneratePredictionsTripBreaker(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b.ObserveValue(sel, 0.01)
 	}
-	if !b.RetrainAsync() {
+	if !b.Retrain() {
 		t.Fatal("unvalidated NaN candidate should have swapped in")
 	}
 	if !b.Trained() {
@@ -323,9 +322,12 @@ func TestDegeneratePredictionsTripBreaker(t *testing.T) {
 func TestSingleNaNPredictionClamped(t *testing.T) {
 	e := buildIMDbEngine(t)
 	cfg := guardTestConfig(1, nil)
+	cfg.Arms = DefaultArms() // the three top arms all plan this query alike
 	cfg.RetrainEvery = 1000
-	cfg.NoPlanDedup = true // keep per-arm predictions distinct slots
-	nan := &nanArmModel{badIdx: 1}
+	// Gate off (it would reject a candidate predicting any NaN), breaker
+	// on: the serving-time clamp alone must handle the degenerate arm.
+	cfg.Validate = guard.ValidateConfig{}
+	nan := &nanArmModel{}
 	cfg.NewModel = func() model.Model { return nan }
 	b := New(e, cfg)
 
@@ -333,6 +335,9 @@ func TestSingleNaNPredictionClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Predictions are made once per distinct plan, so the NaN is keyed on
+	// arm 1's plan tree rather than on an arm index.
+	nan.bad = sel.Trees[1]
 	for i := 0; i < 20; i++ {
 		b.ObserveValue(sel, 0.01)
 	}
@@ -358,9 +363,9 @@ func TestSingleNaNPredictionClamped(t *testing.T) {
 	}
 }
 
-// nanArmModel predicts NaN for exactly one tree index and a finite value
+// nanArmModel predicts NaN for every tree equal to bad and a finite value
 // elsewhere.
-type nanArmModel struct{ badIdx int }
+type nanArmModel struct{ bad *nn.Tree }
 
 func (m *nanArmModel) Name() string { return "nan-arm" }
 
@@ -368,8 +373,8 @@ func (m *nanArmModel) Fit(trees []*nn.Tree, secs []float64) int { return 1 }
 
 func (m *nanArmModel) Predict(trees []*nn.Tree) []float64 {
 	out := make([]float64, len(trees))
-	for i := range out {
-		if i == m.badIdx {
+	for i, tr := range trees {
+		if reflect.DeepEqual(tr, m.bad) {
 			out[i] = math.NaN()
 		} else {
 			out[i] = 0.01 * float64(i+1)
@@ -394,7 +399,7 @@ func TestValidationRejectsNaNCandidateKeepsIncumbent(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b.ObserveValue(sel, 0.01)
 	}
-	if b.RetrainAsync() {
+	if b.Retrain() {
 		t.Fatal("NaN candidate passed the validation gate")
 	}
 	if b.Trained() || b.TrainCount() != 0 {
@@ -404,10 +409,58 @@ func TestValidationRejectsNaNCandidateKeepsIncumbent(t *testing.T) {
 		t.Fatalf("bao_retrain_rejected_total = %v, want 1", got)
 	}
 	// The next (unfaulted) attempt trains normally.
-	if !b.RetrainAsync() {
+	if !b.Retrain() {
 		t.Fatal("healthy candidate rejected")
 	}
 	if !b.Trained() || b.TrainCount() != 1 {
 		t.Fatalf("post-rejection retrain: trained=%v trainCount=%d", b.Trained(), b.TrainCount())
 	}
+}
+
+// TestRetrainGuardRejectsNaNCandidate: Retrain on a guarded Bao runs the
+// same detached fit → validate → publish path as the serving trainer, so
+// a candidate whose predictions go NaN after fitting is rejected and the
+// untrained incumbent keeps serving.
+func TestRetrainGuardRejectsNaNCandidate(t *testing.T) {
+	e := buildIMDbEngine(t)
+	cfg := guardTestConfig(1, nil)
+	cfg.RetrainEvery = 1000
+	cfg.NewModel = func() model.Model { return &nanAfterFitModel{} }
+	b := New(e, cfg)
+
+	sel, err := b.Select(obsTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		b.ObserveValue(sel, 0.01)
+	}
+	b.Retrain()
+	if b.Trained() || b.TrainCount() != 0 {
+		t.Fatalf("rejected candidate replaced the incumbent: trained=%v trainCount=%d", b.Trained(), b.TrainCount())
+	}
+	if got := b.Stats().Counter("bao_retrain_rejected_total"); got != 1 {
+		t.Fatalf("bao_retrain_rejected_total = %v, want 1", got)
+	}
+}
+
+// nanAfterFitModel predicts a finite value until it is fit, NaN after.
+type nanAfterFitModel struct{ fit bool }
+
+func (m *nanAfterFitModel) Name() string { return "nan-after-fit" }
+
+func (m *nanAfterFitModel) Fit(trees []*nn.Tree, secs []float64) int {
+	m.fit = true
+	return 1
+}
+
+func (m *nanAfterFitModel) Predict(trees []*nn.Tree) []float64 {
+	out := make([]float64, len(trees))
+	for i := range out {
+		out[i] = 0.01
+		if m.fit {
+			out[i] = math.NaN()
+		}
+	}
+	return out
 }

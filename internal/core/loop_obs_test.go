@@ -166,7 +166,7 @@ func TestRetrainTraceLinkage(t *testing.T) {
 		b.ObserveValue(sel, 0.01)
 	}
 	cause := obs.Cause{TraceID: sel.Trace.ID, RequestID: "req-link"}
-	if !b.RetrainAsyncFor(cause) {
+	if !b.RetrainFor(cause) {
 		t.Fatal("retrain did not swap")
 	}
 	// The newest trace is the retrain, linked back to the triggering query.

@@ -196,8 +196,8 @@ func TestAddExternalExperienceRetrainSchedule(t *testing.T) {
 	}
 }
 
-// TestDecisionLoopMetricsAndTraces runs the full Run loop (with parallel
-// planning, exercising the concurrent featurization timing path) and
+// TestDecisionLoopMetricsAndTraces runs the full Run loop (with pooled
+// planning at four workers, exercising the concurrent timing path) and
 // checks that metrics and decision traces come out consistent.
 func TestDecisionLoopMetricsAndTraces(t *testing.T) {
 	e := buildIMDbEngine(t)
@@ -206,7 +206,7 @@ func TestDecisionLoopMetricsAndTraces(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Arms = TopArms(3)
 	cfg.RetrainEvery = 1000
-	cfg.ParallelPlanning = true
+	cfg.Workers = 4
 	cfg.Observer = o
 	b := New(e, cfg)
 

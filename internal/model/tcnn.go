@@ -18,8 +18,8 @@ func expm1(x float64) float64 { return math.Expm1(x) }
 // Predict is safe for concurrent callers: forward passes run on
 // weight-sharing replicas checked out of a pool, so each in-flight call
 // owns private per-layer scratch state. Fit and Load are NOT safe to run
-// concurrently with Predict — callers that retrain while serving (the Bao
-// server) fit a detached model instance and swap it in whole.
+// concurrently with Predict, so Bao never refits a published model: every
+// retrain fits a detached instance and swaps it in whole.
 type TCNNModel struct {
 	net        *nn.TCNN
 	cfg        nn.TCNNConfig

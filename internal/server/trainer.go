@@ -32,7 +32,7 @@ func (s *Server) signalRetrain(cause obs.Cause) {
 
 // trainer is the single background training goroutine: it drains retrain
 // signals, fits a fresh Thompson-sampling draw on a detached model
-// (core.Bao.RetrainAsyncFor — no lock held during the fit, so in-flight
+// (core.Bao.RetrainFor — no lock held during the fit, so in-flight
 // selections keep predicting with the previous model), and hot-swaps the
 // fitted model in, checkpointing each accepted generation. Exits when the
 // signal channel closes at shutdown.
@@ -43,7 +43,7 @@ func (s *Server) trainer() {
 	}
 }
 
-// trainOnce runs one retrain cycle. RetrainAsyncFor recovers panics
+// trainOnce runs one retrain cycle. RetrainFor recovers panics
 // inside the fit itself; this recover is the outer belt for everything
 // else in the cycle (checkpointing, bookkeeping) — a panicking trainer
 // goroutine would otherwise take the whole server down, the exact
@@ -60,7 +60,7 @@ func (s *Server) trainOnce(sig retrainSignal) {
 		// the fast path never waits on an in-flight retrain.
 		time.Sleep(s.cfg.TrainDelay)
 	}
-	if s.bao.RetrainAsyncFor(sig.cause) {
+	if s.bao.RetrainFor(sig.cause) {
 		s.o.HotSwaps.Inc()
 		s.o.TrainerLag.Set(time.Since(sig.at).Seconds())
 		s.saveCheckpoint(sig.cause)
