@@ -15,13 +15,15 @@ import (
 	"testing"
 
 	"bao"
+	"bao/internal/core"
 	"bao/internal/model"
 	"bao/internal/nn"
 	"bao/internal/obs"
 	"bao/internal/workload"
 )
 
-const benchTreeDim = 16
+// benchTreeDim is the plan featurization width the served model sees.
+const benchTreeDim = core.FeatureDim
 
 // benchTrees builds a reproducible set of strictly binary feature trees.
 func benchTrees(n int) ([]*nn.Tree, []float64) {
@@ -54,6 +56,7 @@ func BenchmarkTrain(b *testing.B) {
 			tc.MaxEpochs = 5
 			tc.Patience = 10 // fixed epoch count: no early stop inside the loop
 			tc.Workers = workers
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := nn.NewTCNN(cfg)
@@ -75,6 +78,7 @@ func BenchmarkPredict(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			m.SetWorkers(workers)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Predict(batch)
@@ -120,6 +124,7 @@ func BenchmarkSelect(b *testing.B) {
 			if err := o.LoadModel(bytes.NewReader(saved.Bytes())); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := o.Select(sql); err != nil {

@@ -35,7 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -647,26 +647,28 @@ func (e *Executor) indexNestLoopRows(n *planner.Node, left []storage.Row) ([]sto
 	return out, nil
 }
 
-// sortRows sorts rows in place by the node's sort spec. The amortized
-// cancellation check is threaded into the comparator, so a deadline or
-// disconnect interrupts the O(n log n) loop itself rather than waiting for
-// the sort to finish; the ticks are cancellation cadence only and do not
-// perturb the exact CPUOps charge, which stays 2·n·log2(n). Shared by
-// both pipelines.
+// sortRows sorts rows in place by the node's sort spec, stably. The
+// amortized cancellation check is threaded into the comparator, so a
+// deadline or disconnect interrupts the O(n log n) loop itself rather than
+// waiting for the sort to finish; the ticks are cancellation cadence only
+// and do not perturb the exact CPUOps charge, which stays 2·n·log2(n).
+// slices.SortStableFunc runs the same insertion-sort-and-merge algorithm
+// as sort.SliceStable, comparison for comparison, without its reflective
+// swapper. Shared by both pipelines.
 func (e *Executor) sortRows(n *planner.Node, rows []storage.Row) {
-	sort.SliceStable(rows, func(a, b int) bool {
+	slices.SortStableFunc(rows, func(a, b storage.Row) int {
 		e.tick(1)
 		for k, col := range n.SortCols {
-			c := compareNullable(rows[a][col], rows[b][col])
+			c := compareNullable(a[col], b[col])
 			if c == 0 {
 				continue
 			}
 			if n.SortDesc[k] {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		}
-		return false
+		return 0
 	})
 	if len(rows) > 1 {
 		e.C.CPUOps += 2 * int64(len(rows)) * int64(math.Log2(float64(len(rows))))

@@ -8,7 +8,7 @@ import (
 	"bao/internal/nn"
 )
 
-// Parallel Predict must return exactly the sequential result: replicas
+// Parallel Predict must return exactly the sequential result: workers
 // share weights read-only and each output index is written by one worker.
 // Run under -race this also exercises the fan-out for data races.
 func TestPredictParallelMatchesSequential(t *testing.T) {
@@ -27,7 +27,7 @@ func TestPredictParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("parallel Predict[%d] = %g, sequential = %g", i, got[i], want[i])
 		}
 	}
-	// Replicas must survive (and follow) a refit and a reload.
+	// Predictions must follow a refit and a reload.
 	m.Fit(trees[:60], secs[:60])
 	_ = m.Predict(trees[60:])
 	var buf bytes.Buffer
@@ -49,9 +49,9 @@ func TestPredictParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// Small batches must stay on the sequential path: one pooled replica (the
-// minimum any Predict call uses, so concurrent callers never share layer
-// scratch), never a parallel fan-out.
+// Small batches must stay on the caller's goroutine: below
+// parallelPredictMin trees the fan-out costs more than the pass it would
+// split, and the result must still equal the fanned-out one.
 func TestPredictSmallBatchSequential(t *testing.T) {
 	trees, secs := syntheticData(40, 5)
 	tc := nn.DefaultTrainConfig()
@@ -59,9 +59,18 @@ func TestPredictSmallBatchSequential(t *testing.T) {
 	m := NewTCNN(4, tc, 11)
 	m.Fit(trees, secs)
 	m.SetWorkers(8)
-	_ = m.Predict(trees[:parallelPredictMin-1])
-	if len(m.replicas) > 1 {
-		t.Fatalf("small batch fanned out across %d replicas", len(m.replicas))
+	if w := m.predictWorkers(parallelPredictMin - 1); w != 1 {
+		t.Fatalf("%d trees fan out across %d workers", parallelPredictMin-1, w)
+	}
+	if w := m.predictWorkers(parallelPredictMin); w != 8 {
+		t.Fatalf("%d trees use %d workers, want 8", parallelPredictMin, w)
+	}
+	small := m.Predict(trees[:parallelPredictMin-1])
+	all := m.Predict(trees)
+	for i, p := range small {
+		if p != all[i] {
+			t.Fatalf("small-batch Predict[%d] = %g, fanned-out batch has %g", i, p, all[i])
+		}
 	}
 }
 

@@ -69,10 +69,7 @@ func (m *TCNNModel) Load(r io.Reader) error {
 		return fmt.Errorf("model: load: non-positive target std %g", st.Std)
 	}
 	net.Restore(st.Weights)
-	m.repMu.Lock()
 	m.net = net
-	m.replicas = nil // inference replicas alias the replaced network
-	m.repMu.Unlock()
 	m.cfg = st.Cfg
 	m.mean, m.std = st.Mean, st.Std
 	m.yMin, m.yMax = st.YMin, st.YMax

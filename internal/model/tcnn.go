@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"bao/internal/nn"
 )
@@ -15,9 +14,9 @@ func expm1(x float64) float64 { return math.Expm1(x) }
 // TCNNModel is Bao's value model: the tree convolutional network of
 // Figure 5, trained with Adam on log-space targets.
 //
-// Predict is safe for concurrent callers: forward passes run on
-// weight-sharing replicas checked out of a pool, so each in-flight call
-// owns private per-layer scratch state. Fit and Load are NOT safe to run
+// Predict is safe for concurrent callers: inference is a pure function of
+// the network's read-only weights and a scratch arena taken from a shared
+// pool for the duration of the call. Fit and Load are NOT safe to run
 // concurrently with Predict, so Bao never refits a published model: every
 // retrain fits a detached instance and swaps it in whole.
 type TCNNModel struct {
@@ -30,10 +29,11 @@ type TCNNModel struct {
 	fit        bool
 	lastFit    nn.TrainResult
 	workers    int // inference fan-out; 0 = one per CPU
-
-	repMu    sync.Mutex // guards replicas (the idle-replica pool)
-	replicas []*nn.TCNN // idle weight-sharing inference replicas of net
 }
+
+// arenas pools inference scratch across calls and models, so steady-state
+// Predict calls allocate only their result.
+var arenas = sync.Pool{New: func() any { return new(nn.Arena) }}
 
 // NewTCNN builds an untrained TCNN model for the given input feature
 // dimension. Each Fit reinitializes the network (Thompson sampling trains a
@@ -80,10 +80,7 @@ func (m *TCNNModel) Fit(trees []*nn.Tree, secs []float64) int {
 		ys[i] = (ys[i] - m.mean) / m.std
 	}
 	m.cfg.Seed++ // fresh initialization per bootstrap
-	m.repMu.Lock()
 	m.net = nn.NewTCNN(m.cfg)
-	m.replicas = nil // replicas alias the old network's weights
-	m.repMu.Unlock()
 	res := m.net.Train(trees, ys, m.train)
 	m.fit = true
 	m.lastFit = res
@@ -111,84 +108,51 @@ func (m *TCNNModel) LastFit() nn.TrainResult { return m.lastFit }
 // costs more than the forward passes it would overlap.
 const parallelPredictMin = 8
 
-// Predict implements Model. Trees are fanned across weight-sharing
-// network replicas checked out of a pool (and returned afterwards); every
-// output index is computed by exactly one worker from read-only weights,
-// so the result is identical to the sequential loop at any worker count.
-// Because each call forwards only on checked-out replicas — never on the
-// master network directly — any number of Predict calls may run
-// concurrently against the same trained model.
+// Predict implements Model. The trees run through the network as one
+// flat batch, or, above parallelPredictMin trees with more than one
+// worker, as one contiguous range per worker. Every tree's prediction
+// depends only on that tree and the weights, so the result is identical
+// at any worker count.
 func (m *TCNNModel) Predict(trees []*nn.Tree) []float64 {
 	out := make([]float64, len(trees))
 	if !m.fit {
 		return out
 	}
-	w := nn.Workers(m.workers)
-	if w > len(trees) {
-		w = len(trees)
-	}
-	if len(trees) < parallelPredictMin {
-		w = 1
-	}
-	owner, nets := m.checkout(w)
-	defer m.release(owner, nets)
+	w := m.predictWorkers(len(trees))
 	if w <= 1 {
-		for i, t := range trees {
-			out[i] = m.postprocess(nets[0].Forward(t))
-		}
+		m.predictRange(trees, out)
 		return out
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	run := func(net *nn.TCNN) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(trees) {
-				return
-			}
-			out[i] = m.postprocess(net.Forward(trees[i]))
-		}
-	}
-	for _, net := range nets[1:] {
-		wg.Add(1)
-		go func(net *nn.TCNN) {
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
+		lo, hi := k*len(trees)/w, (k+1)*len(trees)/w
+		go func() {
 			defer wg.Done()
-			run(net)
-		}(net)
+			m.predictRange(trees[lo:hi], out[lo:hi])
+		}()
 	}
-	run(nets[0])
+	m.predictRange(trees[:len(trees)/w], out[:len(trees)/w])
 	wg.Wait()
 	return out
 }
 
-// checkout takes n idle replicas from the pool, building fresh ones when
-// the pool runs dry. The returned owner is the master network the replicas
-// alias; release uses it to discard replicas of a since-replaced network.
-func (m *TCNNModel) checkout(n int) (owner *nn.TCNN, nets []*nn.TCNN) {
-	m.repMu.Lock()
-	owner = m.net
-	take := len(m.replicas)
-	if take > n {
-		take = n
+// predictWorkers is the fan-out Predict uses for n trees.
+func (m *TCNNModel) predictWorkers(n int) int {
+	if n < parallelPredictMin {
+		return 1
 	}
-	nets = make([]*nn.TCNN, 0, n)
-	nets = append(nets, m.replicas[len(m.replicas)-take:]...)
-	m.replicas = m.replicas[:len(m.replicas)-take]
-	m.repMu.Unlock()
-	for len(nets) < n {
-		nets = append(nets, owner.SharedReplica())
-	}
-	return owner, nets
+	return min(nn.Workers(m.workers), n)
 }
 
-// release returns replicas to the pool, dropping them when the master
-// network changed while they were out (their weights alias the old one).
-func (m *TCNNModel) release(owner *nn.TCNN, nets []*nn.TCNN) {
-	m.repMu.Lock()
-	if m.net == owner {
-		m.replicas = append(m.replicas, nets...)
+// predictRange predicts trees into out in one pass over a pooled arena.
+func (m *TCNNModel) predictRange(trees []*nn.Tree, out []float64) {
+	a := arenas.Get().(*nn.Arena)
+	m.net.Predict(trees, out, a)
+	arenas.Put(a)
+	for i, raw := range out {
+		out[i] = m.postprocess(raw)
 	}
-	m.repMu.Unlock()
 }
 
 // postprocess maps a raw normalized network output back to seconds.

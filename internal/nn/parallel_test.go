@@ -49,46 +49,64 @@ func TestTrainParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// ForwardBatch must agree exactly with sequential Forward: replicas share
-// the master's weights and each output index is written by one worker.
-func TestForwardBatchMatchesSequential(t *testing.T) {
+// One flat pass over a batch must agree exactly with predicting each tree
+// alone, for any grouping of the trees into passes and with an arena
+// left dirty by a differently shaped earlier pass.
+func TestKernelBatchMatchesSingle(t *testing.T) {
 	m, trees, _ := trainFixture(30)
+	rng := rand.New(rand.NewSource(13))
+	trees = append(trees, mixedTrees(rng, 3)...)
 	want := make([]float64, len(trees))
 	for i, tr := range trees {
-		want[i] = m.Forward(tr)
+		want[i] = predict1(m, tr)
 	}
-	for _, workers := range []int{1, 4} {
-		got := m.ForwardBatch(trees, workers)
+	var a Arena
+	got := make([]float64, len(trees))
+	for _, split := range []int{len(trees), 1, 7, 16} {
+		for lo := 0; lo < len(trees); lo += split {
+			hi := min(lo+split, len(trees))
+			m.Predict(trees[lo:hi], got[lo:hi], &a)
+		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: ForwardBatch[%d] = %g, Forward = %g", workers, i, got[i], want[i])
+				t.Fatalf("passes of %d trees: Predict[%d] = %g, alone %g", split, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// SharedReplica must alias the master's weights (updates propagate) while
-// keeping gradients private.
-func TestSharedReplicaAliasesWeights(t *testing.T) {
-	m, trees, _ := trainFixture(1)
-	r := m.SharedReplica()
-	if got, want := r.Forward(trees[0]), m.Forward(trees[0]); got != want {
-		t.Fatalf("replica forward %g != master %g", got, want)
-	}
-	mp, rp := m.Params(), r.Params()
-	mp[0].W[0] += 0.5
-	if rp[0].W[0] != mp[0].W[0] {
-		t.Fatal("replica does not alias master weights")
-	}
-	r.Backward(1)
-	for i, p := range mp {
+// Predict is a pure function of the weights: it never writes weights or
+// gradients, and it follows a weight update at once, with no state cached
+// between calls.
+func TestKernelPredictIsPure(t *testing.T) {
+	m, trees, _ := trainFixture(4)
+	before := m.Snapshot()
+	out := make([]float64, len(trees))
+	var a Arena
+	m.Predict(trees, out, &a)
+	for i, p := range m.Params() {
 		for k, g := range p.G {
 			if g != 0 {
-				t.Fatalf("replica backward leaked into master gradient %d[%d]", i, k)
+				t.Fatalf("Predict wrote gradient %d[%d]", i, k)
+			}
+		}
+		for k, w := range p.W {
+			if w != before[i][k] {
+				t.Fatalf("Predict changed weight %d[%d]", i, k)
 			}
 		}
 	}
-	_ = rp
+	first := out[0]
+	m.Params()[0].W[0] += 0.5
+	m.Predict(trees, out, &a)
+	if out[0] == first {
+		t.Fatal("Predict did not follow a weight update")
+	}
+	m.Restore(before)
+	m.Predict(trees, out, &a)
+	if out[0] != first {
+		t.Fatalf("Predict after restore = %g, want %g", out[0], first)
+	}
 }
 
 // Degenerate training configs must terminate and still report bookkeeping:

@@ -35,62 +35,29 @@ func PaperTCNNConfig(inDim int) TCNNConfig {
 
 // TCNN is Bao's value network: a plan-tree-to-scalar regressor built from
 // three tree convolution layers with layer norm and ReLU, dynamic pooling,
-// and a two-layer fully connected head.
+// and a two-layer fully connected head. It holds only weights: passes run
+// in an Arena (Predict) or a trainer private to Train.
 type TCNN struct {
 	Cfg  TCNNConfig
 	conv [3]*TreeConv
 	norm [3]*TreeLayerNorm
-	act  [3]*TreeReLU
-	pool *DynamicPool
 	fc1  *Linear
-	relu *ReLU
 	fc2  *Linear
 }
 
 // NewTCNN builds a network from the configuration.
 func NewTCNN(cfg TCNNConfig) *TCNN {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &TCNN{Cfg: cfg, pool: &DynamicPool{}, relu: &ReLU{}}
+	m := &TCNN{Cfg: cfg}
 	in := cfg.InDim
 	for i := 0; i < 3; i++ {
 		m.conv[i] = NewTreeConv("conv"+string(rune('1'+i)), in, cfg.Channels[i], rng)
 		m.norm[i] = NewTreeLayerNorm("norm"+string(rune('1'+i)), cfg.Channels[i])
-		m.act[i] = &TreeReLU{}
 		in = cfg.Channels[i]
 	}
 	m.fc1 = NewLinear("fc1", cfg.Channels[2], cfg.Hidden, rng)
 	m.fc2 = NewLinear("fc2", cfg.Hidden, 1, rng)
 	return m
-}
-
-// Forward runs a plan tree through the network and returns the scalar
-// performance prediction.
-func (m *TCNN) Forward(t *Tree) float64 {
-	x := t
-	for i := 0; i < 3; i++ {
-		x = m.conv[i].Forward(x)
-		x = m.norm[i].Forward(x)
-		x = m.act[i].Forward(x)
-	}
-	v := m.pool.Forward(x)
-	v = m.fc1.Forward(v)
-	v = m.relu.Forward(v)
-	return m.fc2.Forward(v)[0]
-}
-
-// Backward backpropagates a scalar loss gradient through the network,
-// accumulating parameter gradients. It must follow a Forward on the same
-// input.
-func (m *TCNN) Backward(dLoss float64) {
-	g := m.fc2.Backward([]float64{dLoss})
-	g = m.relu.Backward(g)
-	g = m.fc1.Backward(g)
-	tg := m.pool.Backward(g, m.Cfg.Channels[2])
-	for i := 2; i >= 0; i-- {
-		tg = m.act[i].Backward(tg)
-		tg = m.norm[i].Backward(tg)
-		tg = m.conv[i].Backward(tg)
-	}
 }
 
 // Params returns every trainable parameter in the network.
@@ -134,11 +101,13 @@ type TrainConfig struct {
 	Patience   int     // epochs without sufficient improvement before stopping
 	MinImprove float64 // relative improvement threshold (0.01 = 1%)
 	Seed       int64   // shuffling seed
-	// Workers is the number of goroutines mini-batches are split across
-	// (data parallelism over batch examples). Zero or negative means one
-	// per CPU. Training output is bit-identical for every worker count:
-	// each example's gradient is computed in isolation and the reduction
-	// runs in batch order, never in worker-completion order.
+	// Workers is the number of goroutines a mini-batch is split across:
+	// its trees for the forward and backward passes, its parameter rows
+	// for the weight gradients. Zero or negative means one per CPU.
+	// Training output is bit-identical for every worker count: each
+	// example's gradient is a partial sum over its own nodes, and the
+	// partial sums are added in batch order, never in worker-completion
+	// order.
 	Workers int
 }
 
@@ -158,12 +127,10 @@ type TrainResult struct {
 // Targets should already be in the scale the caller wants to regress (Bao
 // trains on log-latency). Returns the epochs used and final epoch loss.
 //
-// Mini-batches are split across cfg.Workers goroutines (data parallelism):
-// each worker runs a model replica sharing the master weights, writes each
-// example's gradient into a per-batch-position buffer, and the buffers are
-// reduced into the master gradient in batch order before the Adam step.
-// The reduction order never depends on the worker count or scheduling, so
-// a given Seed yields bit-identical weights at any parallelism.
+// Each mini-batch is laid out flat in one arena that lives only for this
+// call, and its gradient is computed across cfg.Workers goroutines (see
+// trainer.step); a given Seed yields bit-identical weights at any
+// parallelism.
 func (m *TCNN) Train(trees []*Tree, targets []float64, cfg TrainConfig) TrainResult {
 	if len(trees) != len(targets) {
 		panic("nn: trees and targets length mismatch")
@@ -178,7 +145,7 @@ func (m *TCNN) Train(trees []*Tree, targets []float64, cfg TrainConfig) TrainRes
 	opt := NewAdam(cfg.LR)
 	params := m.Params()
 	for _, p := range params {
-		p.ZeroGrad() // a stray Backward without a Step must not leak in
+		p.ZeroGrad() // a stray gradient without a Step must not leak in
 	}
 	batch := cfg.BatchSize
 	if batch < 1 {
@@ -188,11 +155,7 @@ func (m *TCNN) Train(trees []*Tree, targets []float64, cfg TrainConfig) TrainRes
 	if workers > len(trees) {
 		workers = len(trees)
 	}
-	maxSlot := batch
-	if maxSlot > len(trees) {
-		maxSlot = len(trees)
-	}
-	pool := newTrainPool(m, workers, maxSlot)
+	tr := newTrainer(m, workers)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(len(trees))
 	best := math.Inf(1)
@@ -208,7 +171,7 @@ func (m *TCNN) Train(trees []*Tree, targets []float64, cfg TrainConfig) TrainRes
 				end = len(order)
 			}
 			// d(MSE)/d(pred) averaged over the batch.
-			epochLoss += pool.runBatch(trees, targets, order[b:end], 2/float64(end-b))
+			epochLoss += tr.step(trees, targets, order[b:end], 2/float64(end-b))
 			opt.Step(params)
 		}
 		epochLoss /= float64(len(order))
