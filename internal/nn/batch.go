@@ -10,18 +10,19 @@ import "sync"
 //
 // The combining pattern needs no timer and adds zero latency under low
 // concurrency: the first caller for a model key runs its own trees
-// immediately (the replica-pool fallback), and callers arriving while
-// that pass is in flight queue up and are drained by the pass owner in
-// coalesced batches — the in-flight pass IS the gather window, so the
-// wait is never longer than one forward pass. Batches are bounded by
-// MaxTrees per pass.
+// immediately, and callers arriving while that pass is in flight queue up
+// and are drained by the pass owner in coalesced batches — the in-flight
+// pass IS the gather window, so the wait is never longer than one forward
+// pass. A coalesced pass concatenates the callers' trees, runs the
+// predict function once over them, and splits the predictions back.
+// Batches are bounded by MaxTrees per pass.
 //
-// Correctness relies only on the predict function being per-tree
-// independent (true of the TCNN: each tree forwards through read-only
-// weights), so a coalesced pass returns byte-identical results to the
-// same calls made alone, at any concurrency. Callers key passes by model
-// instance, so requests snapshotting different models — e.g. across a
-// hot-swap — never share a pass.
+// The predict function is the TCNN's flat kernel, a pure function of
+// read-only weights and per-call scratch, so correctness relies only on
+// it being per-tree independent: a coalesced pass returns byte-identical
+// results to the same calls made alone, at any concurrency. Callers key
+// passes by model instance, so requests snapshotting different models —
+// e.g. across a hot-swap — never share a pass.
 type Batcher struct {
 	// MaxTrees bounds the trees coalesced into one forward pass; a drain
 	// round splits an oversized queue into several passes. Zero or
@@ -72,7 +73,7 @@ func (b *Batcher) maxTrees() int {
 // that share the same key. The result is exactly fn(trees) — order
 // preserved, values byte-identical — however the trees were grouped into
 // passes. fn must be safe for concurrent calls with the same key (the
-// TCNN's replica-pool Predict is) and per-tree independent.
+// TCNN's Predict is) and per-tree independent.
 func (b *Batcher) Predict(key any, fn func([]*Tree) []float64, trees []*Tree) []float64 {
 	if len(trees) == 0 {
 		return fn(trees)
